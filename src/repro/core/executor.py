@@ -32,6 +32,14 @@ def _times_identity(sr: Semiring) -> int:
     return 0 if sr.times == "add" else 1
 
 
+def _plus_of_identities(sr: Semiring):
+    """⊕ over rows whose annotations are all the virtual ⊗-identity: a row
+    count for SUM/×, else ⊕ of the identity literal."""
+    if sr.plus == "sum" and sr.times == "mul":
+        return F.count(F.lit(1))
+    return _plus(sr, F.lit(_times_identity(sr)))
+
+
 def scan_df(
     tables: dict[str, DataFrame],
     rel: Relation,
@@ -40,25 +48,13 @@ def scan_df(
     sr: Semiring | None = None,
 ) -> DataFrame:
     """Predicate pushdown + column→attribute rename (+ annotation; an
-    unannotated relation gets the semiring's ⊗-identity).
-
-    A fused dimension pair (optimizer.rules.FusedRelation) scans as the
-    Cartesian product of its members."""
-    identity = _times_identity(sr) if sr is not None else 1
-    members = getattr(rel, "members", None)
-    if members:
-        a, b = members
-        df = scan_df(tables, a, with_annot=False).crossJoin(
-            scan_df(tables, b, with_annot=False)
-        )
-        if with_annot:
-            df = df.withColumn(ANNOT, F.lit(identity))
-        return df
+    unannotated relation gets the semiring's ⊗-identity)."""
     df = tables[rel.source]
     if rel.predicate:
         df = df.filter(rel.predicate)
     cols = [F.col(c).alias(a) for a, c in zip(rel.attrs, rel.cols)]
     if with_annot:
+        identity = _times_identity(sr) if sr is not None else 1
         annot = rel.annot if rel.annot is not None else str(identity)
         cols.append(F.expr(annot).alias(ANNOT))
     return df.select(*cols)
@@ -113,10 +109,8 @@ def _finalize(df: DataFrame, step: Finalize, sr: Semiring, count_like: bool) -> 
             # degrade the same way count(*) does
             agg = F.coalesce(agg, F.lit(0))
         agg = agg.alias(step.alias)
-    elif sr.plus == "sum" and sr.times == "mul":
-        agg = F.count(F.lit(1)).alias(step.alias)
     else:
-        agg = _plus(sr, F.lit(_times_identity(sr))).alias(step.alias)
+        agg = _plus_of_identities(sr).alias(step.alias)
     return df.groupBy(*step.output).agg(agg) if step.output else df.agg(agg)
 
 
@@ -182,10 +176,6 @@ def native_df(cq: CQ, tables: dict[str, DataFrame]) -> DataFrame:
     if cq.is_full:
         val = prod if prod is not None else F.lit(_times_identity(sr))
         return acc.select(*cq.output, val.alias(cq.alias))
-    if prod is not None:
-        agg = _plus(sr, prod).alias(cq.alias)
-    elif sr.plus == "sum" and sr.times == "mul":
-        agg = F.count(F.lit(1)).alias(cq.alias)
-    else:
-        agg = _plus(sr, F.lit(_times_identity(sr))).alias(cq.alias)
+    agg = _plus(sr, prod) if prod is not None else _plus_of_identities(sr)
+    agg = agg.alias(cq.alias)
     return acc.groupBy(*cq.output).agg(agg) if cq.output else acc.agg(agg)

@@ -22,6 +22,10 @@ from .cq import CQ, Relation
 class Step:
     out: str
 
+    def describe(self) -> str:
+        """One line of :meth:`Plan.describe`."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Scan(Step):
@@ -30,6 +34,10 @@ class Scan(Step):
 
     relation: Relation
     with_annot: bool
+
+    def describe(self) -> str:
+        ann = "+v" if self.with_annot else ""
+        return f"{self.out} <- scan {self.relation.source}{ann}"
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,10 @@ class Project(Step):
     attrs: tuple[str, ...]
     dedup: bool = True
 
+    def describe(self) -> str:
+        kind = "pi" if self.dedup else "sel"
+        return f"{self.out} <- {kind}[{','.join(self.attrs)}] {self.src}"
+
 
 @dataclass(frozen=True)
 class Join(Step):
@@ -48,6 +60,9 @@ class Join(Step):
     left: str
     right: str
     on: tuple[str, ...]
+
+    def describe(self) -> str:
+        return f"{self.out} <- join[{','.join(self.on)}] {self.left} {self.right}"
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,9 @@ class SemiJoin(Step):
     right: str
     on: tuple[str, ...]
 
+    def describe(self) -> str:
+        return f"{self.out} <- semijoin[{','.join(self.on)}] {self.left} {self.right}"
+
 
 @dataclass(frozen=True)
 class Filter(Step):
@@ -65,6 +83,9 @@ class Filter(Step):
 
     src: str
     condition: str
+
+    def describe(self) -> str:
+        return f"{self.out} <- filter[{self.condition}] {self.src}"
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,9 @@ class Finalize(Step):
     mode: str
     alias: str
     dedup: bool = True
+
+    def describe(self) -> str:
+        return f"{self.out} <- finalize[{self.mode}:{','.join(self.output)}] {self.src}"
 
 
 @dataclass
@@ -102,29 +126,7 @@ class Plan:
 
     def describe(self) -> str:
         """Human-readable listing, used by plan-shape tests."""
-        lines = []
-        for s in self.steps:
-            if isinstance(s, Scan):
-                ann = "+v" if s.with_annot else ""
-                lines.append(f"{s.out} <- scan {s.relation.source}{ann}")
-            elif isinstance(s, Project):
-                kind = "pi" if s.dedup else "sel"
-                lines.append(f"{s.out} <- {kind}[{','.join(s.attrs)}] {s.src}")
-            elif isinstance(s, Join):
-                lines.append(
-                    f"{s.out} <- join[{','.join(s.on)}] {s.left} {s.right}"
-                )
-            elif isinstance(s, SemiJoin):
-                lines.append(
-                    f"{s.out} <- semijoin[{','.join(s.on)}] {s.left} {s.right}"
-                )
-            elif isinstance(s, Filter):
-                lines.append(f"{s.out} <- filter[{s.condition}] {s.src}")
-            elif isinstance(s, Finalize):
-                lines.append(
-                    f"{s.out} <- finalize[{s.mode}:{','.join(s.output)}] {s.src}"
-                )
-        return "\n".join(lines)
+        return "\n".join(s.describe() for s in self.steps)
 
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)

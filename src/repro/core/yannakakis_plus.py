@@ -5,30 +5,21 @@ reduction driven by dangling-free relations and their reducible neighbours
 
 The planner is pure Python: it consumes a CQ plus a rooted join tree and
 emits a straight-line plan of standard relational operators (`core.plan`),
-never touching Spark. Cost-guided choices (second-round merge order) accept
-an optional cardinality estimator.
+never touching Spark.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-from ._emit import Emitter, Node, Rules
+from ._emit import Emitter, Rules
 from .cq import CQ
 from .join_tree import JoinTree
 from .plan import Plan
 
 
-def plan_yannakakis_plus(
-    cq: CQ,
-    tree: JoinTree,
-    rules: Rules = Rules(),
-    est_join: Callable[[Node, Node], float] | None = None,
-) -> Plan:
+def plan_yannakakis_plus(cq: CQ, tree: JoinTree, rules: Rules = Rules()) -> Plan:
     """Generate the Yannakakis+ plan for ``cq`` on ``tree``.
 
-    ``est_join(a, b)`` optionally estimates |a ⋈ b| to order second-round
-    merges; without it a deterministic heuristic (leaf-first, fewest
-    attributes) is used.
+    Second-round choices (merge order, Lemma 3.14 push-down) follow a
+    deterministic heuristic: leaf neighbour first, fewest attributes first.
     """
     em = Emitter(cq, rules)
     out_eff = cq.plan_output
@@ -81,6 +72,11 @@ def plan_yannakakis_plus(
     dangling: set[str] = {root}
     semi_order = {n: i for i, n in enumerate(tree.post_order())}
 
+    def leaf_first(pair: tuple[str, str]) -> tuple:
+        """Tie-break over (i, j) pairs: prefer a leaf j, then fewest attrs."""
+        j = pair[1]
+        return (len(adj[j]) > 1, len(attrs_of(j)), semi_order[j])
+
     def reducible(i: str, j: str) -> bool:
         """R_j is reducible for R_i (Def. 3.10): every *other* neighbour of
         R_i meets it only on output attributes."""
@@ -127,15 +123,7 @@ def plan_yannakakis_plus(
             if reducible(i, j)
         ]
         if pairs:
-            if est_join is not None:
-                i, j = min(pairs, key=lambda p: est_join(em.nodes[p[0]], em.nodes[p[1]]))
-            else:
-                # heuristic: merge with a leaf neighbour, fewest attrs first
-                i, j = min(
-                    pairs,
-                    key=lambda p: (len(adj[p[1]]) > 1, len(attrs_of(p[1])), semi_order[p[1]]),
-                )
-            merge(i, j)
+            merge(*min(pairs, key=leaf_first))
         else:
             # Lemma 3.14: push dangling-freeness down to a child
             cand = [
@@ -144,10 +132,7 @@ def plan_yannakakis_plus(
                 for j in sorted(adj[i], key=semi_order.get)
                 if j not in dangling
             ]
-            i, j = min(
-                cand,
-                key=lambda p: (len(adj[p[1]]) > 1, len(attrs_of(p[1])), semi_order[p[1]]),
-            )
+            i, j = min(cand, key=leaf_first)
             em.nodes[j] = em.semijoin(em.nodes[j], em.nodes[i])
             dangling.add(j)
 

@@ -50,13 +50,6 @@ def tables_for(spark: SparkSession, benchmark: str, **params) -> dict[str, DataF
     return _TABLES[key]
 
 
-def clear_table_cache() -> None:
-    for t in _TABLES.values():
-        for df in t.values():
-            df.unpersist()
-    _TABLES.clear()
-
-
 @dataclass
 class Prepared:
     """A workload made acyclic: the CQ the Yannakakis planners run on, the

@@ -4,7 +4,8 @@
 trees (GYO-based), applies the paper's pruning preferences (roots containing
 output attributes, relation-dominated / free-connex trees when they exist,
 bushy low-height trees), generates the Yannakakis+ plan for each candidate,
-costs it under the selected cardinality scenario, and returns the argmin.
+prunes and costs it in one estimation pass under the selected cardinality
+scenario, and returns the argmin.
 """
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ from ..core.plan import Plan
 from ..core.yannakakis import plan_yannakakis
 from ..core.yannakakis_plus import plan_yannakakis_plus
 from .cardinality import ESTIMATED, Cardinality
-from .cost import cost_plan
-from .prune import prune_semijoins
+from .cost import estimate_plan
 from .stats import RelStats
 
 
@@ -87,13 +87,11 @@ def choose_plan(
     for tree in trees:
         if algorithm == "yannakakis+":
             plan = plan_yannakakis_plus(cq, tree, rules=rules)
-            if mode != "worst-case":
-                # §7.2.4: suppress semi-joins the estimates call useless
-                # (defensive worst-case planning keeps every reduction)
-                plan = prune_semijoins(plan, card)
         else:
             plan = plan_yannakakis(cq, tree)
-        c = cost_plan(plan, card)
+        # one pass: drop what the estimates call useless (§7.2.4), cost the rest
+        plan = estimate_plan(plan, card)
+        c = plan.meta["cost"]
         costs.append((c, tree.root))
         if best is None or c < best[0]:
             best = (c, plan, tree)

@@ -2,23 +2,22 @@
 
 The per-operator eliminations (PK-FK aggregation/projection elimination,
 semi-join elimination, annotation pruning) live in ``core._emit`` and are
-switched by :class:`Rules`; this module hosts the *query-level* rewrites:
+switched by :class:`Rules`; this module hosts the *query-level* rewrite,
+**cycle elimination** (Example 5.2): break a PK-FK-induced cycle by renaming
+one occurrence of a join attribute and re-imposing the equality as a
+post-join selection — turning a cyclic CQ acyclic without the cost of a GHD,
+valid because PK-FK joins keep all intermediates linear.
 
-* **Cycle elimination** (Example 5.2): break a PK-FK-induced cycle by
-  renaming one occurrence of a join attribute and re-imposing the equality
-  as a post-join selection — turning a cyclic CQ acyclic without the cost of
-  a GHD, valid because PK-FK joins keep all intermediates linear.
-* **Fusion of dimension relations**: replace two small relations that share
-  no attributes with their Cartesian product ahead of planning, saving one
-  (semi-)join against a large relation.
+The paper's other query-level rule, fusion of dimension relations (§5.1),
+is not implemented: dimension relations are planned as ordinary join-tree
+nodes.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 
 from ..core._emit import NO_RULES, Rules  # re-export  # noqa: F401
-from ..core.cq import CQ, R, Relation
+from ..core.cq import CQ
 from ..core.hypergraph import is_acyclic
 
 
@@ -72,57 +71,3 @@ def eliminate_cycles(cq: CQ, *, force: bool = False, max_renames: int = 3) -> CQ
             return None
         current = found
     return current if is_acyclic(current) else None
-
-
-def fuse_dimensions(
-    cq: CQ, sizes: dict[str, float] | None, *, threshold: float = 1000.0
-) -> CQ:
-    """Cartesian-fuse pairs of small attribute-disjoint relations (§5.1
-    "Fusion of Dimension Relations"). The fused pair becomes one logical
-    relation whose scan the executor materialises as a cross join."""
-    if sizes is None:
-        return cq
-    small = [
-        r
-        for r in cq.relations
-        if sizes.get(r.name, threshold + 1) <= threshold and r.annot is None
-    ]
-    for a, b in itertools.combinations(small, 2):
-        if a.attr_set & b.attr_set:
-            continue
-        fused = FusedRelation.build(a, b)
-        rels = tuple(
-            r for r in cq.relations if r.name not in (a.name, b.name)
-        ) + (fused,)
-        cand = replace(cq, relations=rels, ri=frozenset(
-            p for p in cq.ri if a.name not in p and b.name not in p
-        ))
-        if is_acyclic(cand):
-            return cand
-    return cq
-
-
-class FusedRelation(Relation):
-    """A Relation whose source is the Cartesian product of two base scans.
-
-    The executor special-cases it in ``scan``: it cross-joins the two member
-    scans (predicates pushed into each member)."""
-
-    members: tuple[Relation, Relation]
-
-    @staticmethod
-    def build(a: Relation, b: Relation) -> "FusedRelation":
-        rel = FusedRelation(
-            name=f"{a.name}*{b.name}",
-            source=f"{a.source}*{b.source}",
-            attrs=a.attrs + b.attrs,
-            cols=a.cols + b.cols,
-            annot=None,
-            predicate=None,
-            keys=tuple(
-                ka | kb for ka in (a.keys or (frozenset(a.attrs),))
-                for kb in (b.keys or (frozenset(b.attrs),))
-            ),
-        )
-        object.__setattr__(rel, "members", (a, b))
-        return rel

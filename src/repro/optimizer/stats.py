@@ -38,11 +38,6 @@ _CACHE: dict[tuple, RelStats] = {}
 
 
 def rel_stats(tables: dict[str, DataFrame], rel: Relation, *, exact: bool) -> RelStats:
-    members = getattr(rel, "members", None)
-    if members:  # fused dimension pair: Cartesian product of member stats
-        a = rel_stats(tables, members[0], exact=exact)
-        b = rel_stats(tables, members[1], exact=exact)
-        return RelStats(a.rows * b.rows, {**a.ndv, **b.ndv})
     key = (rel.source, rel.predicate, tuple(rel.cols), exact)
     if key in _CACHE:
         st = _CACHE[key]

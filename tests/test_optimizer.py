@@ -10,7 +10,7 @@ from repro.core.yannakakis_plus import plan_yannakakis_plus
 from repro.optimizer.cardinality import (
     ACCURATE, ESTIMATED, WORST_CASE, Cardinality, Est
 )
-from repro.optimizer.cost import cost_plan
+from repro.optimizer.cost import estimate_plan
 from repro.optimizer.enumerate import candidate_trees, choose_plan
 from repro.optimizer.stats import RelStats
 
@@ -95,7 +95,8 @@ def test_cost_positive_and_annotates():
     tree = root_tree(cq, [("E1", "E2"), ("E2", "E3")], "E1")
     plan = plan_yannakakis_plus(cq, tree, rules=Rules(False, True))
     card = Cardinality(cq, ESTIMATED, stats=stats3())
-    c = cost_plan(plan, card)
+    plan = estimate_plan(plan, card)
+    c = plan.meta["cost"]
     assert c > 0 and plan.meta["cost"] == c
     assert plan.meta["est_rows"]
 
@@ -113,8 +114,8 @@ def test_cost_prefers_selective_side():
     card = Cardinality(cq, ESTIMATED, stats=st)
     t_s = root_tree(cq, [("S", "B")], "S")
     t_b = root_tree(cq, [("S", "B")], "B")
-    c_s = cost_plan(plan_yannakakis_plus(cq, t_s), card)
-    c_b = cost_plan(plan_yannakakis_plus(cq, t_b), card)
+    c_s = estimate_plan(plan_yannakakis_plus(cq, t_s), card).meta["cost"]
+    c_b = estimate_plan(plan_yannakakis_plus(cq, t_b), card).meta["cost"]
     assert c_s < c_b
 
 

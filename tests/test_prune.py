@@ -1,4 +1,5 @@
-"""Cost-based semi-join / projection suppression (§7.2.4)."""
+"""Cost-based semi-join / projection suppression (§7.2.4), decided in the
+same estimation pass that costs the plan."""
 import pytest
 
 from repro.core._emit import Rules
@@ -6,9 +7,9 @@ from repro.core.cq import CQ, R
 from repro.core.join_tree import root_tree
 from repro.core.plan import Project, SemiJoin
 from repro.core.yannakakis_plus import plan_yannakakis_plus
-from repro.optimizer.cardinality import ESTIMATED, WORST_CASE, Cardinality
+from repro.optimizer.cardinality import ESTIMATED, MODES, WORST_CASE, Cardinality
+from repro.optimizer.cost import estimate_plan
 from repro.optimizer.enumerate import choose_plan
-from repro.optimizer.prune import prune_semijoins
 from repro.optimizer.stats import RelStats
 
 
@@ -43,7 +44,7 @@ def test_useless_semijoins_dropped():
     plan = plan_yannakakis_plus(cq, tree4(cq), rules=Rules(False, True))
     assert plan.n_semijoins() > 0
     card = Cardinality(cq, ESTIMATED, stats=uniform_stats())
-    pruned = prune_semijoins(plan, card)
+    pruned = estimate_plan(plan, card)
     assert pruned.n_semijoins() == 0
     assert pruned.meta["semijoins_pruned"] >= plan.n_semijoins()
 
@@ -66,7 +67,7 @@ def test_useful_semijoins_kept():
     small = RelStats(50, {"a": 50, "b": 50})
     big = RelStats(100_000, {a: 8_000 for a in "abcd"})
     card = Cardinality(cq, ESTIMATED, stats={"E1": small, "E2": big, "E3": big})
-    pruned = prune_semijoins(plan, card)
+    pruned = estimate_plan(plan, card)
     # the semi-join of E2 against tiny E1 survives
     assert pruned.n_semijoins() >= 1
 
@@ -75,7 +76,7 @@ def test_non_reducing_projections_dropped():
     cq = path4()
     plan = plan_yannakakis_plus(cq, tree4(cq), rules=Rules(False, True))
     card = Cardinality(cq, ESTIMATED, stats=uniform_stats())
-    pruned = prune_semijoins(plan, card)
+    pruned = estimate_plan(plan, card)
     # with uniform non-reducing data, every aggregating π is overhead
     assert not [p for p in pruned.of_type(Project) if p.dedup]
 
@@ -84,7 +85,7 @@ def test_reducing_projections_kept():
     cq = path4(output=())  # global count: π to single join attrs reduces hard
     plan = plan_yannakakis_plus(cq, tree4(cq), rules=Rules(False, True))
     card = Cardinality(cq, ESTIMATED, stats=uniform_stats())
-    pruned = prune_semijoins(plan, card)
+    pruned = estimate_plan(plan, card)
     assert [p for p in pruned.of_type(Project) if p.dedup]
 
 
@@ -92,7 +93,7 @@ def test_slot_rewiring_is_consistent():
     cq = path4()
     plan = plan_yannakakis_plus(cq, tree4(cq), rules=Rules(False, True))
     card = Cardinality(cq, ESTIMATED, stats=uniform_stats())
-    pruned = prune_semijoins(plan, card)
+    pruned = estimate_plan(plan, card)
     defined = set()
     for s in pruned.steps:
         for ref in ("src", "left", "right"):
@@ -131,5 +132,21 @@ def test_finalize_key_elimination_blocks_project_pruning():
         st = {"F": RelStats(1000, {"k": 1000, "z": 2, "m": 5}),
               "D": RelStats(1000, {"k": 1000, "w": 3})}
         card = Cardinality(cq, ESTIMATED, stats=st)
-        pruned = prune_semijoins(plan, card)
+        pruned = estimate_plan(plan, card)
         assert len(pruned.of_type(Project)) == len(plan.of_type(Project))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("stats", [uniform_stats, selective_stats])
+def test_estimation_pass_is_a_fixed_point(mode, stats):
+    """Cost is measured on the pruned plan: running the pass on its own
+    output drops nothing more and returns the same cost."""
+    cq = path4()
+    plan = plan_yannakakis_plus(cq, tree4(cq), rules=Rules(False, True))
+    once = estimate_plan(plan, Cardinality(cq, mode, stats=stats()))
+    twice = estimate_plan(once, Cardinality(cq, mode, stats=stats()))
+    assert twice.meta["semijoins_pruned"] == 0
+    assert twice.describe() == once.describe()
+    assert twice.result == once.result
+    assert twice.meta["cost"] == once.meta["cost"]
+    assert twice.meta["est_rows"] == once.meta["est_rows"]

@@ -1,12 +1,10 @@
-"""Query-level rewrites (§5.1): cycle elimination (Example 5.2) and fusion
-of dimension relations — structural tests (semantics vs oracle elsewhere)."""
+"""Query-level rewrite (§5.1): cycle elimination (Example 5.2) — structural
+tests (semantics vs oracle elsewhere)."""
 import pytest
 
 from repro.core.cq import CQ, R
 from repro.core.hypergraph import is_acyclic
-from repro.optimizer.rules import (
-    FusedRelation, _pk_fk_shaped, eliminate_cycles, fuse_dimensions
-)
+from repro.optimizer.rules import _pk_fk_shaped, eliminate_cycles
 from repro.workloads import all_queries
 
 
@@ -76,46 +74,3 @@ def test_tpch_q5_rewrites():
     out = eliminate_cycles(wl.cq)
     assert out is not None and is_acyclic(out)
     assert out.plan_output > wl.cq.plan_output  # rename attrs exposed
-
-
-# -------------------------------------------------------------- fusion
-def star():
-    return CQ(
-        (
-            R("F", "fact", ["x", "y", "m"]),
-            R("D1", "d1", ["x"], keys=[("x",)]),
-            R("D2", "d2", ["y"], keys=[("y",)]),
-        ),
-        ("m",), name="star",
-    )
-
-
-def test_fuse_small_dimensions():
-    sizes = {"F": 1e6, "D1": 10, "D2": 20}
-    out = fuse_dimensions(star(), sizes, threshold=100)
-    names = {r.name for r in out.relations}
-    assert "D1*D2" in names and len(out.relations) == 2
-    fused = out.rel("D1*D2")
-    assert isinstance(fused, FusedRelation)
-    assert set(fused.attrs) == {"x", "y"}
-
-
-def test_fusion_skipped_for_large_relations():
-    sizes = {"F": 1e6, "D1": 10_000, "D2": 20}
-    out = fuse_dimensions(star(), sizes, threshold=100)
-    assert len(out.relations) == 3
-
-
-def test_fusion_skipped_when_dims_share_attrs():
-    cq = CQ(
-        (R("F", "fact", ["x", "m"]),
-         R("D1", "d1", ["x", "z"]), R("D2", "d2", ["x", "z"])),
-        ("m",),
-    )
-    out = fuse_dimensions(cq, {"F": 1e6, "D1": 5, "D2": 5}, threshold=100)
-    assert len(out.relations) == 3
-
-
-def test_fusion_without_sizes_is_noop():
-    cq = star()
-    assert fuse_dimensions(cq, None) is cq
