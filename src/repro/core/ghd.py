@@ -1,11 +1,14 @@
 """Generalized hypertree decomposition for cyclic queries (paper §4.1).
 
-Cyclic CQs are made acyclic by materialising *bags*: each bag is the join of
-a small cyclic core (e.g. a triangle), evaluated natively by the engine, and
-then replaced by a single relation — after which the query has a normal join
-tree and Yannakakis+ applies. Each input relation is assigned to exactly one
-bag (a partition), so annotations are never double-counted (the paper's
-``R¹`` trick degenerates to a no-op under a partition).
+Cyclic CQs are made acyclic by replacing *bags* with single relations: each
+bag is the join of a small cyclic core (e.g. a triangle), evaluated natively
+by the engine, after which the query has a normal join tree and Yannakakis+
+applies. A bag is registered as a lazy DataFrame — a subquery of the outer
+plan, as in the paper's SQL-emitting system (§6) — so it is evaluated as
+part of the query that scans it, not in a job of its own. Each input
+relation is assigned to exactly one bag (a partition), so annotations are
+never double-counted (the paper's ``R¹`` trick degenerates to a no-op under
+a partition).
 
 Full GHD enumeration is NP-hard; this implements the practical fragment our
 workloads need — explicit bag hints, plus a heuristic that repeatedly merges
@@ -33,7 +36,9 @@ def _bag_relation(cq: CQ, members: list[Relation], idx: int) -> tuple[Relation, 
             if a not in attrs:
                 attrs.append(a)
     annotated = any(r.annot is not None for r in members)
-    source = f"__bag{idx}"
+    # unique per query: bags of different queries must not share a source
+    # name, which keys the statistics cache
+    source = f"__bag{idx}:{cq.name}"
     if annotated and not cq.semiring.boolean:
         bag_cq = CQ(
             tuple(members), tuple(attrs), cq.semiring, alias="__v",
@@ -55,7 +60,7 @@ def _bag_relation(cq: CQ, members: list[Relation], idx: int) -> tuple[Relation, 
 
 
 def decompose(cq: CQ, bags: list[list[str]] | None = None) -> tuple[CQ, BagDefs]:
-    """Return an equivalent acyclic CQ plus the bag queries to materialise.
+    """Return an equivalent acyclic CQ plus the bag queries it scans.
 
     ``bags`` optionally names relation groups to merge (hints); otherwise a
     heuristic merges stuck cyclic cores until the query is acyclic."""
@@ -110,16 +115,11 @@ def decompose(cq: CQ, bags: list[list[str]] | None = None) -> tuple[CQ, BagDefs]
     return current, defs
 
 
-def materialize_bags(
-    defs: BagDefs, tables: dict[str, DataFrame], *, cache: bool = True
-) -> dict[str, DataFrame]:
-    """Evaluate each bag query natively and register it as a table; returns
-    an extended table dict. Bags are cached (they are scanned repeatedly by
-    the outer plan)."""
+def materialize_bags(defs: BagDefs, tables: dict[str, DataFrame]) -> dict[str, DataFrame]:
+    """Register each bag query's lazy native plan as a table; returns an
+    extended table dict. Nothing runs here: a bag is evaluated by whatever
+    Spark job scans it."""
     out = dict(tables)
     for source, bag_cq in defs.items():
-        df = native_df(bag_cq, out)
-        if cache:
-            df = df.cache()
-        out[source] = df
+        out[source] = native_df(bag_cq, out)
     return out

@@ -53,7 +53,8 @@ def pandas_sources(bench_tables):
 
 @pytest.fixture(scope="session")
 def prepared_cache(bench_tables):
-    """Workload name -> harness.Prepared (GHD bags materialised once)."""
+    """Workload name -> harness.Prepared, built once (GHD bags stay lazy,
+    so every execution evaluates them)."""
     from repro import harness
     from repro.workloads import all_queries
 

@@ -26,10 +26,22 @@ def test_prepare_cycle_elim(bench_tables):
     assert prep.cq.eq_filters
 
 
-def test_prepare_ghd_registers_bags(bench_tables):
-    prep = harness.prepare(QUERIES["sgpb-q2b"], bench_tables("sgpb"))
+def test_prepare_ghd_registers_bags(quiet_spark, bench_tables):
+    """Bags are lazy subqueries of the outer plan: preparing a GHD query
+    starts no Spark job and caches nothing."""
+    tables = bench_tables("sgpb")
+    sc = quiet_spark.sparkContext
+    group = "test-prepare-ghd"
+    sc.setJobGroup(group, group)
+    try:
+        prep = harness.prepare(QUERIES["sgpb-q2b"], tables)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
     assert prep.via == "ghd"
-    assert any(k.startswith("__bag") for k in prep.tables)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []
+    bags = [t for s, t in prep.tables.items() if s.startswith("__bag")]
+    assert len(bags) == 2
+    assert not any(t.is_cached for t in bags)
 
 
 def test_time_mode_reports_fields(quiet_spark, bench_tables):

@@ -98,7 +98,7 @@ def test_cost_positive_and_annotates():
     plan = estimate_plan(plan, card)
     c = plan.meta["cost"]
     assert c > 0 and plan.meta["cost"] == c
-    assert plan.meta["est_rows"]
+    assert plan.meta["est"]
 
 
 def test_cost_prefers_selective_side():

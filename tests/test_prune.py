@@ -11,6 +11,9 @@ from repro.optimizer.cardinality import ESTIMATED, MODES, WORST_CASE, Cardinalit
 from repro.optimizer.cost import estimate_plan
 from repro.optimizer.enumerate import choose_plan
 from repro.optimizer.stats import RelStats
+from repro.workloads import all_queries
+
+QUERIES = all_queries()
 
 
 def path4(output=("a", "e")):
@@ -70,6 +73,44 @@ def test_useful_semijoins_kept():
     pruned = estimate_plan(plan, card)
     # the semi-join of E2 against tiny E1 survives
     assert pruned.n_semijoins() >= 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_semijoin_against_keyed_input_dropped(mode):
+    """The selective semi-join of ``test_useful_semijoins_kept``, but with
+    its right input keyed on the semi-join attribute: the later join with
+    that input removes the same tuples, so the semi-join is dropped, except
+    in the defensive worst-case plan."""
+    cq = CQ(
+        (
+            R("E1", "e", {"a": "src", "b": "dst"}, predicate="src < 5", keys=[("b",)]),
+            R("E2", "e", {"b": "src", "c": "dst"}),
+            R("E3", "e", {"c": "src", "d": "dst"}),
+        ),
+        ("a", "d"),
+        name="keyed",
+    )
+    tree = root_tree(cq, [("E1", "E2"), ("E2", "E3")], "E3")
+    plan = plan_yannakakis_plus(cq, tree, rules=Rules(False, True))
+    keyed = [s for s in plan.of_type(SemiJoin) if s.on == ("b",)]
+    assert keyed
+    small = RelStats(50, {"a": 50, "b": 50})
+    big = RelStats(100_000, {a: 8_000 for a in "abcd"})
+    card = Cardinality(cq, mode, stats={"E1": small, "E2": big, "E3": big})
+    pruned = estimate_plan(plan, card)
+    kept = [s for s in pruned.of_type(SemiJoin) if s.on == ("b",)]
+    assert len(kept) == (len(keyed) if mode == WORST_CASE else 0)
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_no_chosen_semijoin_against_keyed_input(prepared_cache, name):
+    """No chosen ``estimated`` Yannakakis+ plan keeps a semi-join whose
+    right input is estimated to be keyed on the semi-join attributes."""
+    prep = prepared_cache(name)
+    plan = choose_plan(prep.cq, prep.tables).plan
+    for s in plan.of_type(SemiJoin):
+        right = plan.meta["est"][s.right]
+        assert not any(k <= frozenset(s.on) for k in right.keys), s.describe()
 
 
 def test_non_reducing_projections_dropped():
@@ -149,4 +190,4 @@ def test_estimation_pass_is_a_fixed_point(mode, stats):
     assert twice.describe() == once.describe()
     assert twice.result == once.result
     assert twice.meta["cost"] == once.meta["cost"]
-    assert twice.meta["est_rows"] == once.meta["est_rows"]
+    assert twice.meta["est"] == once.meta["est"]
