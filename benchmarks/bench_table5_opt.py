@@ -6,6 +6,7 @@ import pytest
 from repro import harness, tables
 from repro.core.executor import native_df
 from repro.optimizer.enumerate import choose_plan
+from repro.optimizer.stats import collect_stats
 from repro.workloads import all_queries
 
 QS = all_queries()
@@ -15,7 +16,7 @@ QS = all_queries()
 def test_opt_time(benchmark, btables, bprepared, name):
     wl = QS[name]
     prep = bprepared(name)
-    choose_plan(prep.cq, prep.tables)  # warm the statistics cache
+    collect_stats(prep.tables, prep.cq)  # warm the statistics cache
     benchmark.group = "table5:opt-time"
     benchmark.pedantic(
         lambda: choose_plan(prep.cq, prep.tables), rounds=3, iterations=1

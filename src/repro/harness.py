@@ -14,9 +14,10 @@ original query. ``prepare`` runs no Spark job: the bags are lazy, so a
 Yannakakis(+) time taken from a ``Prepared`` (``time_mode``,
 ``tables._run_query_modes``, the benchmarks' ``bprepared``) includes
 evaluating them, just as native pays for its own cyclic join. Statistics
-are memoised per (source, predicate) — the paper's system reads them from
-the DBMS catalog, so stat collection is not part of a query's optimization
-time.
+are memoised per (source, predicate, columns, exactness), and a query's
+uncached ones are collected in one batched Spark aggregate before the
+optimizer's clock starts — the paper's system reads them from the DBMS
+catalog, so stat collection is not part of a query's optimization time.
 """
 from __future__ import annotations
 

