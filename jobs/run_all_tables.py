@@ -1,19 +1,34 @@
-"""Run every evaluation table in one Spark session and dump the measured
-rows to ``results/tables.json`` (consumed by EXPERIMENTS.md). Equivalent to
-running each jobs/table*.py separately, but shares table loading."""
+"""Regenerate the paper's evaluation (§7: Tables 2–6 and the §7.2.1 speedup
+summary) at benchmark scale in one Spark session: time every table with
+``repro.tables``, dump the measured rows to ``results/tables.json`` and
+render EXPERIMENTS.md from them.
+
+    python jobs/run_all_tables.py
+"""
 import json
 import os
 import sys
 
-from _common import session
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+import conftest  # noqa: E402,F401  (sets PYSPARK_SUBMIT_ARGS before pyspark loads)
 
-from repro import tables
+from pyspark.sql import SparkSession  # noqa: E402
+
+from repro import tables  # noqa: E402
+from repro.workloads import all_queries  # noqa: E402
 
 
 def main():
-    out_path = os.path.join(os.path.dirname(__file__), "..", "results", "tables.json")
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    spark = session("run-all-tables")
+    spark = (
+        SparkSession.builder.appName("run-all-tables")
+        .config("spark.sql.shuffle.partitions",
+                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+    spark.sparkContext.setLogLevel("ERROR")
     results = {}
 
     print("== table6 ==", flush=True)
@@ -34,21 +49,18 @@ def main():
     results["table5"] = tables.table5(spark)
 
     print("== speedup summary (sgpb/lsqb/tpch) ==", flush=True)
-    pool = [
-        q for q in sorted(__import__("repro.workloads", fromlist=["all_queries"]).all_queries())
-        if q.split("-")[0] in ("sgpb", "lsqb", "tpch")
-    ]
+    pool = [q for q in sorted(all_queries()) if q.split("-")[0] in ("sgpb", "lsqb", "tpch")]
     results["speedups"] = tables.speedup_summary(spark, queries=pool)
-
-    with open(out_path, "w") as f:
-        json.dump(results, f, indent=1, default=str)
-    print("wrote", out_path, flush=True)
-    for key in ("table2", "table3", "table4", "table5", "table6"):
-        print(f"\n== {key} ==")
-        print(tables.render(results[key]))
-    print("\n== speedups ==")
-    print(tables.render(results["speedups"]))
     spark.stop()
+
+    json_path = os.path.join(ROOT, "results", "tables.json")
+    os.makedirs(os.path.dirname(json_path), exist_ok=True)
+    with open(json_path, "w") as f:
+        json.dump(results, f, indent=1, default=str)
+    md_path = os.path.join(ROOT, "EXPERIMENTS.md")
+    with open(md_path, "w", encoding="utf-8") as f:
+        f.write(tables.experiments_md(results))
+    print("wrote", json_path, "and", md_path, flush=True)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ Cyclic queries are handled as the paper's system does: first the PK-FK
 cycle-elimination rewrite (§5.1), else a GHD decomposition whose bags are
 natively evaluated subqueries (§4.1); the native baseline always runs the
 original query. ``prepare`` runs no Spark job: the bags are lazy, so a
-Yannakakis(+) time taken from a ``Prepared`` (``time_mode``,
-``tables._run_query_modes``, the benchmarks' ``bprepared``) includes
+Yannakakis(+) time taken from a ``Prepared`` (``time_mode``, and so every
+``repro.tables`` builder behind ``jobs/run_all_tables.py``) includes
 evaluating them, just as native pays for its own cyclic join. Statistics
 are memoised per (source, predicate, columns, exactness), and a query's
 uncached ones are collected in one batched Spark aggregate before the
@@ -117,23 +117,13 @@ def time_mode(
     rules: Rules = Rules(),
     ce_mode: str = ESTIMATED,
     prepared: Prepared | None = None,
-    repeats: int = 1,
 ) -> dict:
-    """Time one (query, mode): best of ``repeats`` runs, plus opt time."""
-    prep = prepared
-    if mode != "native" and prep is None:
-        prep = prepare(wl, tables)
-    times = []
-    choice = None
-    for _ in range(repeats):
-        df, choice = build(
-            wl, tables, mode, rules=rules, ce_mode=ce_mode, prepared=prep
-        )
-        times.append(run_timed(df))
+    """Time one (query, mode) run, plus the optimizer's time."""
+    df, choice = build(wl, tables, mode, rules=rules, ce_mode=ce_mode, prepared=prepared)
     return {
         "query": wl.name,
         "mode": mode,
-        "seconds": min(times),
+        "seconds": run_timed(df),
         "opt_time": choice.opt_time if choice else 0.0,
         "tree_root": choice.tree.root if choice else None,
     }

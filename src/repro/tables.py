@@ -1,20 +1,22 @@
 """Builders for the paper's evaluation tables (§7). Each function returns
-plain row dicts; ``jobs/*.py`` and ``benchmarks/*`` render them. The
-``PAPER_*`` constants hold the published numbers (SparkSQL rows where the
-table is per-engine) so EXPERIMENTS.md can show paper-vs-measured side by
-side."""
+plain row dicts; ``jobs/run_all_tables.py`` dumps them to
+``results/tables.json`` and ``experiments_md`` renders that file as
+EXPERIMENTS.md. The ``PAPER_*`` constants hold the published numbers
+(SparkSQL rows where the table is per-engine) so EXPERIMENTS.md can show
+paper-vs-measured side by side."""
 from __future__ import annotations
 
 import statistics
 import time
+from functools import partial
 
 from pyspark.sql import SparkSession
 
 from . import harness
 from .core._emit import Rules
+from .core.executor import native_df
 from .core.join_tree import classify
 from .optimizer.cardinality import ACCURATE, ESTIMATED, WORST_CASE
-from .optimizer.enumerate import choose_plan
 from .workloads import all_queries
 
 #: benchmark → loader params at benchmark scale (≈100 MB total; tests use
@@ -90,27 +92,34 @@ TABLE5_QUERIES = (
     "tpch-q19", "job-1a", "job-10c", "job-21a", "job-27c", "job-27b",
 )
 
+#: a variant map is label → (harness mode, ``harness.build`` kwargs)
+_MODE_VARIANTS = {mode: (mode, {}) for mode in harness.MODES}
 
-def _run_query_modes(spark, name, modes=harness.MODES, repeats=1, rules=Rules()):
+
+def _tables(spark, wl):
+    return harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
+
+
+def _time(spark, name, variants) -> dict:
+    """Time query ``name`` once per variant; label → ``time_mode`` record."""
     wl = all_queries()[name]
-    tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
+    tables = _tables(spark, wl)
     prep = harness.prepare(wl, tables)
-    out = {}
-    for mode in modes:
-        r = harness.time_mode(wl, tables, mode, rules=rules, prepared=prep,
-                              repeats=repeats)
-        out[mode] = r["seconds"]
-        out.setdefault("opt_time", {})[mode] = r["opt_time"]
-    return out
+    return {
+        label: harness.time_mode(wl, tables, mode, prepared=prep, **kw)
+        for label, (mode, kw) in variants.items()
+    }
+
+
+def _seconds(records: dict) -> dict:
+    return {label: r["seconds"] for label, r in records.items()}
 
 
 # ---------------------------------------------------------------- Table 2
-def table2(spark: SparkSession, queries=None, repeats: int = 1) -> dict:
+def table2(spark: SparkSession, queries=None) -> dict:
     """JOB running-time statistics per mode (paper Table 2)."""
     queries = list(queries or _JOB_POOL)
-    per_query = {}
-    for name in queries:
-        per_query[name] = _run_query_modes(spark, name, repeats=repeats)
+    per_query = {q: _seconds(_time(spark, q, _MODE_VARIANTS)) for q in queries}
     rows = []
     for mode in harness.MODES:
         xs = [per_query[q][mode] for q in queries]
@@ -128,56 +137,37 @@ def table2(spark: SparkSession, queries=None, repeats: int = 1) -> dict:
 
 # ---------------------------------------------------------------- Table 3
 TABLE3_VARIANTS = {
-    "base": None,  # native plan
-    "primitive": Rules(pk_fk=False, annot=False),
-    "pkfk": Rules(pk_fk=True, annot=False),
-    "annot": Rules(pk_fk=False, annot=True),
-    "both": Rules(pk_fk=True, annot=True),
+    "base": ("native", {}),
+    "primitive": ("yannakakis+", {"rules": Rules(pk_fk=False, annot=False)}),
+    "pkfk": ("yannakakis+", {"rules": Rules(pk_fk=True, annot=False)}),
+    "annot": ("yannakakis+", {"rules": Rules(pk_fk=False, annot=True)}),
+    "both": ("yannakakis+", {"rules": Rules(pk_fk=True, annot=True)}),
 }
 
 
-def table3(spark: SparkSession, queries=("job-1a", "job-4a"), repeats: int = 1):
+def table3(spark: SparkSession, queries=("job-1a", "job-4a")):
     """Rule-based optimization ablation (paper Table 3)."""
-    rows = []
-    for name in queries:
-        wl = all_queries()[name]
-        tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
-        prep = harness.prepare(wl, tables)
-        row = {"query": name}
-        for variant, rules in TABLE3_VARIANTS.items():
-            if rules is None:
-                row[variant] = harness.time_mode(
-                    wl, tables, "native", prepared=prep, repeats=repeats
-                )["seconds"]
-            else:
-                row[variant] = harness.time_mode(
-                    wl, tables, "yannakakis+", rules=rules, prepared=prep,
-                    repeats=repeats,
-                )["seconds"]
-        rows.append(row)
-    return rows
+    return [
+        {"query": name, **_seconds(_time(spark, name, TABLE3_VARIANTS))}
+        for name in queries
+    ]
 
 
 # ---------------------------------------------------------------- Table 4
-def table4(spark: SparkSession, queries=TABLE4_QUERIES, repeats: int = 1):
+TABLE4_SCENARIOS = {
+    "native": ("native", {}),
+    "accurate": ("yannakakis+", {"ce_mode": ACCURATE}),
+    "estimated": ("yannakakis+", {"ce_mode": ESTIMATED}),
+    "worst": ("yannakakis+", {"ce_mode": WORST_CASE}),
+}
+
+
+def table4(spark: SparkSession, queries=TABLE4_QUERIES):
     """Runtime under the three cardinality-estimation scenarios (Table 4)."""
-    rows = []
-    for name in queries:
-        wl = all_queries()[name]
-        tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
-        prep = harness.prepare(wl, tables)
-        row = {"query": name}
-        row["native"] = harness.time_mode(
-            wl, tables, "native", prepared=prep, repeats=repeats
-        )["seconds"]
-        for label, mode in (("accurate", ACCURATE), ("estimated", ESTIMATED),
-                            ("worst", WORST_CASE)):
-            row[label] = harness.time_mode(
-                wl, tables, "yannakakis+", ce_mode=mode, prepared=prep,
-                repeats=repeats,
-            )["seconds"]
-        rows.append(row)
-    return rows
+    return [
+        {"query": name, **_seconds(_time(spark, name, TABLE4_SCENARIOS))}
+        for name in queries
+    ]
 
 
 # ---------------------------------------------------------------- Table 5
@@ -189,29 +179,20 @@ def spark_plan_time(df) -> float:
     return time.perf_counter() - t0
 
 
-def table5(spark: SparkSession, queries=TABLE5_QUERIES, repeats: int = 1):
+def table5(spark: SparkSession, queries=TABLE5_QUERIES):
     """Optimization time vs query size (paper Table 5)."""
     rows = []
     for name in queries:
         wl = all_queries()[name]
-        tables = harness.tables_for(spark, wl.benchmark, **BENCH_SCALE[wl.benchmark])
-        prep = harness.prepare(wl, tables)
-        choice = choose_plan(prep.cq, prep.tables)
-        native = harness.time_mode(wl, tables, "native", prepared=prep,
-                                   repeats=repeats)
-        yplus = harness.time_mode(wl, tables, "yannakakis+", prepared=prep,
-                                  repeats=repeats)
-        from repro.core.executor import native_df
-
+        r = _time(spark, name, {"native_s": ("native", {}), "yplus_s": ("yannakakis+", {})})
         rows.append(
             {
                 "query": name,
-                "native_s": native["seconds"],
-                "yplus_s": yplus["seconds"],
+                **_seconds(r),
                 "n_tables": len(wl.cq.relations),
                 "n_attrs": len(wl.cq.attrs),
-                "opt_time": choice.opt_time,
-                "spark_plan_time": spark_plan_time(native_df(wl.cq, tables)),
+                "opt_time": r["yplus_s"]["opt_time"],
+                "spark_plan_time": spark_plan_time(native_df(wl.cq, _tables(spark, wl))),
             }
         )
     return rows
@@ -249,14 +230,14 @@ def table6():
 
 
 # ----------------------------------------------------- speedup summary
-def speedup_summary(spark: SparkSession, queries=None, repeats: int = 1):
+def speedup_summary(spark: SparkSession, queries=None):
     """§7.2.1 headline: per-query native/Yannakakis/Yannakakis+ runtimes and
     speedups, plus per-benchmark aggregates."""
     qs = all_queries()
     queries = list(queries or sorted(qs))
     rows = []
     for name in queries:
-        res = _run_query_modes(spark, name, repeats=repeats)
+        res = _seconds(_time(spark, name, _MODE_VARIANTS))
         rows.append(
             {
                 "query": name,
@@ -272,21 +253,171 @@ def speedup_summary(spark: SparkSession, queries=None, repeats: int = 1):
 
 
 def render(rows, columns=None, *, floatfmt="{:.3f}") -> str:
-    """Plain-text table rendering for jobs and EXPERIMENTS.md."""
-    if not rows:
-        return "(no rows)"
+    """Markdown table of row dicts; a missing or ``None`` cell reads "—"."""
     columns = columns or list(rows[0])
+
     def fmt(v):
         if isinstance(v, float):
             return floatfmt.format(v)
-        return str(v)
-    widths = [
-        max(len(c), *(len(fmt(r.get(c, ""))) for r in rows)) for c in columns
-    ]
-    head = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
-    lines = [head, "-" * len(head)]
-    for r in rows:
-        lines.append(
-            "  ".join(fmt(r.get(c, "")).ljust(w) for c, w in zip(columns, widths))
-        )
+        return "—" if v is None else str(v)
+
+    lines = ["| " + " | ".join(columns) + " |",
+             "|" + "|".join("---" for _ in columns) + "|"]
+    lines += ["| " + " | ".join(fmt(r.get(c)) for c in columns) + " |" for r in rows]
     return "\n".join(lines)
+
+
+def experiments_md(results: dict) -> str:
+    """EXPERIMENTS.md: the measured ``results`` (the ``results/tables.json``
+    written by ``jobs/run_all_tables.py``) next to the paper's numbers."""
+    md = partial(render, floatfmt="{:.2f}")
+    out = []
+    w = out.append
+    w("# EXPERIMENTS — paper vs. measured\n")
+    w("Engine: SparkSQL (PySpark 4.1, `local[*]`, 16 cores, broadcast joins "
+      "disabled). Data: synthetic generators at laptop scale "
+      "(`repro.tables.BENCH_SCALE`, ≈100 MB total) — see DESIGN.md for the "
+      "dataset substitutions. The paper ran SF 30–500 datasets on 24–72-thread "
+      "servers, so **absolute seconds are not comparable; the shape is the "
+      "claim under test**: which mode wins, by roughly what factor, and where "
+      "the crossovers fall. All measured numbers, and this file, regenerate "
+      "via `python jobs/run_all_tables.py`; every query/mode pair behind "
+      "them is checked against DuckDB in `tests/test_workloads_correctness.py`.\n")
+
+    # ----------------------------------------------------------- table 2
+    w("## Table 2 — JOB running-time statistics (seconds)\n")
+    w("Paper (SparkSQL, 113 JOB queries on IMDB scaled 10–100×):\n")
+    paper2 = [dict(mode=m, **v) for m, v in PAPER_TABLE2_SPARKSQL.items()]
+    w(md(paper2, ["mode", "max", "mean", "median", "std"]))
+    w("\nMeasured (SparkSQL/local, 16 JOB-lite queries, IMDB-lite sf=1 dup=3):\n")
+    w(md(results["table2"], ["mode", "max", "mean", "median", "std"]))
+    pq = results["table2_per_query"]
+    n = len(pq)
+    sp = [pq[q]["native"] / pq[q]["yannakakis+"] for q in pq]
+    spy = [pq[q]["yannakakis"] / pq[q]["yannakakis+"] for q in pq]
+    w(f"\nPer-query: Yannakakis+ beats native on {sum(s > 1 for s in sp)}/{n} "
+      f"queries (geo-mean speedup {statistics.geometric_mean(sp):.2f}×, max "
+      f"{max(sp):.2f}×) and beats classic Yannakakis on "
+      f"{sum(s > 1 for s in spy)}/{n} (geo-mean {statistics.geometric_mean(spy):.2f}×).")
+    w("\n**Shape check:** as in the paper's SparkSQL column, classic "
+      "Yannakakis is the worst of the three on the PK-FK-dominated JOB "
+      "(its mean/median exceed native's), while Yannakakis+ has the lowest "
+      "mean/median/max — the ordering Y ≥ native ≥ Y+ is reproduced.\n")
+    rows_pq = [dict(query=q, **pq[q]) for q in sorted(pq)]
+    w("<details><summary>per-query seconds</summary>\n")
+    w(md(rows_pq, ["query", *harness.MODES]))
+    w("\n</details>\n")
+
+    # ----------------------------------------------------------- table 3
+    w("## Table 3 — rule-based optimization ablation (seconds)\n")
+    w("Paper (DuckDB / PostgreSQL; no SparkSQL rows published):\n")
+    paper3 = [
+        dict(query=q, engine=eng, **vals)
+        for q, engines in PAPER_TABLE3.items()
+        for eng, vals in engines.items()
+        if vals.get("base") is not None
+    ]
+    w(md(paper3, ["query", "engine", *TABLE3_VARIANTS]))
+    w("\nMeasured (SparkSQL/local):\n")
+    w(md(results["table3"], ["query", *TABLE3_VARIANTS]))
+    w("\n**Shape check:** the paper's ordering primitive > (annot, pkfk) > "
+      "both, with 'both' at or below 'base', is the target; each rule "
+      "individually recovers part of the primitive rewrite's overhead and "
+      "together they make Yannakakis+ competitive with or better than the "
+      "native plan.\n")
+
+    # ----------------------------------------------------------- table 4
+    w("## Table 4 — cardinality-estimation scenarios (seconds)\n")
+    w("Paper (DuckDB):\n")
+    paper4 = [dict(query=q, **v) for q, v in PAPER_TABLE4_DUCKDB.items()]
+    w(md(paper4, ["query", *TABLE4_SCENARIOS]))
+    w("\nMeasured (SparkSQL/local):\n")
+    w(md(results["table4"], ["query", *TABLE4_SCENARIOS]))
+    w("\n**Shape check:** every Yannakakis+ scenario beats the native plan; "
+      "estimated tracks accurate closely (at this scale they are within "
+      "run-to-run noise of each other, consistent with the paper's finding "
+      "that estimated statistics already recover most of the accurate-CE "
+      "benefit); worst-case — which defensively keeps every semi-join "
+      "reduction — is the slowest Yannakakis+ configuration on most queries, "
+      "though our compressed absolute times (1–4 s vs the paper's 5–230 s) "
+      "soften the separation the paper shows on JOB-11d.\n")
+
+    # ----------------------------------------------------------- table 5
+    w("## Table 5 — optimization time vs query size\n")
+    w("Paper (DuckDB native/Y+ seconds, #tables, #attrs, rewriter opt time):\n")
+    paper5 = [dict(query=q, **v) for q, v in PAPER_TABLE5.items()]
+    w(render(paper5, ["query", "native", "yplus", "tables", "attrs", "opt"]))
+    w("\nMeasured (SparkSQL/local; `opt_time` = Yannakakis+ planner with "
+      "warmed statistics, `spark_plan_time` = Spark's own planning of the "
+      "native DataFrame):\n")
+    w(render(results["table5"],
+             ["query", "native_s", "yplus_s", "n_tables", "n_attrs",
+              "opt_time", "spark_plan_time"]))
+    opt = [r["opt_time"] for r in results["table5"]]
+    w(f"\n**Shape check:** optimization stays in the ~10–100 ms band the "
+      f"paper reports (measured max {max(opt)*1000:.0f} ms), negligible "
+      f"against execution, and grows with #tables/#attributes.\n")
+
+    # ----------------------------------------------------------- table 6
+    w("## Table 6 — SGPB query characteristics\n")
+    w("Paper:\n")
+    paper6 = [
+        dict(query=f"sgpb-{q}", shape=s, type=t, predicates=p, free_connex=fc)
+        for q, (s, t, p, fc) in PAPER_TABLE6.items()
+    ]
+    w(md(paper6, ["query", "shape", "type", "predicates", "free_connex"]))
+    w("\nMeasured — classification *computed* by our GYO/free-connex "
+      "machinery from the query definitions (dumbbells classified after GHD "
+      "decomposition, as evaluated):\n")
+    w(md(results["table6"],
+         ["query", "shape", "type", "predicates", "free_connex", "class"]))
+    w("\n**Shape check:** all 16 rows match the paper's classification "
+      "(shape, #predicates, free-connex flag); asserted in "
+      "`tests/test_harness_tables.py`.\n")
+
+    # ---------------------------------------------------------- speedups
+    w("## §7.2.1 headline — per-benchmark speedups (Figure 9 as numbers)\n")
+    w("Paper (SparkSQL): SGPB max 89× avg 2.7×; LSQB max 538× avg 18×; "
+      "TPC-H max 1.09× avg 1.02×; JOB max 2.30× avg 1.11×. Overall: 160/162 "
+      "queries improved, avg 2.41×, worst drawback 12.75%.\n")
+    rows = results["speedups"]
+    w("\nMeasured per query (SparkSQL/local):\n")
+    w(md(rows, ["query", "benchmark", *harness.MODES, "speedup_vs_native",
+                "speedup_vs_yannakakis"]))
+    # drop this note when results/tables.json is next re-measured: every
+    # timing path now includes the lazy GHD bags
+    w("\n**GHD rows timed on pre-built bags.** The yannakakis and yannakakis+ "
+      "times of sgpb-q2a, sgpb-q2b, lsqb-q2 and lsqb-q4 were measured when "
+      "`harness.prepare` cached and counted the GHD bags before the timer "
+      "started, so they exclude bag evaluation, which native pays; their "
+      "speedups are overstated (ROADMAP direction 1 measured all four as "
+      "regressions once bag time is counted). Bags are now lazy, and "
+      "re-running `jobs/run_all_tables.py` times them inside each query.")
+    job_rows = [
+        dict(benchmark="job",
+             speedup_vs_native=pq[q]["native"] / pq[q]["yannakakis+"],
+             speedup_vs_yannakakis=pq[q]["yannakakis"] / pq[q]["yannakakis+"])
+        for q in pq
+    ]
+    aggs = []
+    for b in ("sgpb", "lsqb", "tpch", "job", "ALL"):
+        sub = [r for r in rows + job_rows if b == "ALL" or r["benchmark"] == b]
+        sp = [r["speedup_vs_native"] for r in sub]
+        spy = [r["speedup_vs_yannakakis"] for r in sub]
+        aggs.append(dict(
+            benchmark=b, queries=len(sub), improved=sum(s > 1 for s in sp),
+            geo_mean=statistics.geometric_mean(sp), max=max(sp),
+            worst=min(sp), vs_yannakakis=statistics.geometric_mean(spy),
+        ))
+    w("\nAggregates (speedup of Yannakakis+ over native; `vs_yannakakis` = "
+      "geo-mean speedup over the classic algorithm):\n")
+    w(md(aggs, ["benchmark", "queries", "improved", "geo_mean", "max",
+                "worst", "vs_yannakakis"]))
+    w("\n**Shape check:** the per-benchmark ordering of gains matches the "
+      "paper's SparkSQL column — large on the many-to-many graph workloads "
+      "(SGPB/LSQB), modest on PK-FK-dominated TPC-H/JOB; Yannakakis+ "
+      "dominates classic Yannakakis everywhere; the few regressions are "
+      "small and sit on overhead-bound sub-second queries (our per-query "
+      "Spark overhead at ~100 MB scale compresses all gaps relative to the "
+      "paper's SF-30–500 runs).\n")
+    return "\n".join(out)

@@ -1,7 +1,8 @@
 """Shared Spark fixtures for the test suite.
 
-Scales are tiny (SF≈0.01): correctness is what's under test here; the
-benchmarks/ tree measures performance at SF≈0.1. Tables and their pandas
+Scales are tiny (SF≈0.01): correctness is what's under test here;
+``jobs/run_all_tables.py`` measures the paper's tables at SF≈0.1
+(``repro.tables.BENCH_SCALE``). Tables and their pandas
 copies (for the DuckDB oracle) are cached per session.
 """
 import os

@@ -1,5 +1,6 @@
-"""Harness plumbing and table builders (small-scale smoke versions of the
-jobs/ entrypoints — the real numbers come from benchmark scale)."""
+"""Harness plumbing and table builders (small-scale smoke versions of what
+``jobs/run_all_tables.py`` runs — the real numbers come from benchmark
+scale)."""
 import pytest
 
 from repro import harness, tables
@@ -61,8 +62,6 @@ def test_native_mode_has_no_choice(quiet_spark, bench_tables):
 def test_table6_matches_paper_classification():
     rows = {r["query"].removeprefix("sgpb-"): r for r in tables.table6()}
     for q, (shape, qtype, preds, fc) in tables.PAPER_TABLE6.items():
-        if q == "q1c" or q == "q3c":
-            pass  # projection attrs differ slightly from the (unpublished) originals
         got = rows[q]
         assert got["shape"] == shape
         assert got["predicates"] == preds
@@ -77,6 +76,34 @@ def test_table6_dumbbell_classified_after_ghd():
 
 
 # ------------------------------------------------- table builders (smoke)
+def test_table2_stats_over_per_query(quiet_spark, monkeypatch):
+    monkeypatch.setattr(tables, "BENCH_SCALE", _tiny())
+    out = tables.table2(quiet_spark, queries=("job-1a",))
+    assert set(out) == {"rows", "per_query", "queries"}
+    assert out["queries"] == ["job-1a"]
+    secs = out["per_query"]["job-1a"]
+    assert set(secs) == set(harness.MODES)
+    assert all(v > 0 for v in secs.values())
+    assert [r["mode"] for r in out["rows"]] == list(harness.MODES)
+    for r in out["rows"]:
+        assert set(r) == {"mode", "max", "mean", "median", "std"}
+        s = secs[r["mode"]]
+        assert r["max"] == r["mean"] == r["median"] == s and r["std"] == 0
+
+
+def test_speedup_summary_row(quiet_spark, monkeypatch):
+    monkeypatch.setattr(tables, "BENCH_SCALE", _tiny())
+    (row,) = tables.speedup_summary(quiet_spark, queries=("tpch-q19",))
+    assert set(row) == {"query", "benchmark", *harness.MODES,
+                        "speedup_vs_native", "speedup_vs_yannakakis"}
+    assert row["query"] == "tpch-q19" and row["benchmark"] == "tpch"
+    assert all(row[m] > 0 for m in harness.MODES)
+    assert row["speedup_vs_native"] == pytest.approx(row["native"] / row["yannakakis+"])
+    assert row["speedup_vs_yannakakis"] == pytest.approx(
+        row["yannakakis"] / row["yannakakis+"]
+    )
+
+
 def test_table3_variants_complete(quiet_spark, monkeypatch):
     monkeypatch.setattr(tables, "BENCH_SCALE", _tiny())
     rows = tables.table3(quiet_spark, queries=("job-1a",))
